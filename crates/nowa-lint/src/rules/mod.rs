@@ -24,7 +24,6 @@ pub const SHIM_MODULES: &[&str] = &[
     "nowa-deque/src/split.rs",
     "nowa-runtime/src/idle.rs",
     "nowa-runtime/src/injector.rs",
-    "nowa-runtime/src/snzi.rs",
     "nowa-runtime/src/record.rs",
     "nowa-runtime/src/flavor.rs",
     "nowa-runtime/src/worker.rs",

@@ -30,7 +30,6 @@ use crate::foreign::{foreign_executor, foreign_join2};
 use crate::obs;
 use crate::record::Frame;
 use crate::scheduler::{spawn_execute, sync_execute};
-use crate::stats::WorkerStats;
 use crate::worker::{current_worker, Worker};
 
 /// True when the calling thread is a runtime worker executing a task.
@@ -102,8 +101,8 @@ pub(crate) fn raise_cancelled(frame: *const Frame, reason: CancelReason) -> ! {
     if !worker.is_null() {
         // SAFETY: non-null means the calling thread's live worker.
         unsafe {
-            WorkerStats::bump(&(*worker).stats().cancels);
-            WorkerStats::bump(&(*worker).stats().loop_ticks);
+            (*worker).stats().cancels.inc();
+            (*worker).stats().loop_ticks.inc();
             obs::on_cancel(worker, frame);
         }
     }

@@ -63,7 +63,6 @@ pub mod record;
 pub mod runtime;
 pub mod scheduler;
 pub mod slice;
-pub mod snzi;
 pub mod stats;
 mod sync;
 pub mod task;
@@ -81,7 +80,6 @@ pub use foreign::ForeignForkJoin;
 pub use nowa_context::{MadvisePolicy, StackError};
 pub use reactor::AsyncFd;
 pub use runtime::{Runtime, RuntimeError, ShutdownError};
-pub use snzi::Snzi;
 pub use stats::StatsSnapshot;
 pub use task::{block_on, JoinHandle};
 pub use time::{sleep, timeout, Elapsed};

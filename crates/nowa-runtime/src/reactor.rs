@@ -35,7 +35,6 @@ use nowa_context::sys::{self, epoll, EpollEvent, EpollWait};
 
 use crate::chaos;
 use crate::obs;
-use crate::stats::WorkerStats;
 use crate::sync::{AtomicU32, Ordering};
 use crate::time::TimerWheel;
 use crate::worker::{current_worker, Shared, Worker};
@@ -471,12 +470,12 @@ impl Reactor {
         // SAFETY: `worker` is the calling thread's live worker (caller
         // contract), so dereferencing it for stats and trace hooks is sound.
         unsafe {
-            WorkerStats::bump(&(*worker).stats().reactor_polls);
+            (*worker).stats().reactor_polls.inc();
             if dispatched > 0 {
-                WorkerStats::add(&(*worker).stats().reactor_events, dispatched as u64);
+                (*worker).stats().reactor_events.add(dispatched as u64);
             }
             if timer_count > 0 {
-                WorkerStats::add(&(*worker).stats().timer_fires, timer_count as u64);
+                (*worker).stats().timer_fires.add(timer_count as u64);
                 obs::on_timer_fire(worker, timer_count as u64);
             }
             obs::on_reactor_poll(worker, dispatched as u64);

@@ -369,9 +369,7 @@ impl Runtime {
     /// [`nowa_trace::MetricsRegistry::render_prometheus`] /
     /// [`render_json`](nowa_trace::MetricsRegistry::render_json), or use
     /// the [`Runtime::metrics_text`] / [`Runtime::metrics_json`] shortcuts.
-    #[cfg(feature = "trace")]
     pub fn metrics_registry(&self) -> nowa_trace::MetricsRegistry {
-        use crate::stats::StatsSnapshot;
         let mut reg = nowa_trace::MetricsRegistry::new();
         reg.gauge(
             "nowa_workers",
@@ -417,127 +415,7 @@ impl Runtime {
         );
 
         let s = self.stats();
-        let totals: [(&str, &str, u64); 26] = [
-            (
-                "nowa_spawns_total",
-                "Continuations offered to thieves.",
-                s.spawns,
-            ),
-            (
-                "nowa_unoffered_total",
-                "Spawns elided (deque full).",
-                s.unoffered,
-            ),
-            (
-                "nowa_fast_pops_total",
-                "Fast-path continuation pops.",
-                s.fast_pops,
-            ),
-            ("nowa_steals_total", "Successful steals.", s.steals),
-            (
-                "nowa_steal_empty_total",
-                "Steal attempts on empty deques.",
-                s.steal_empty,
-            ),
-            (
-                "nowa_steal_retry_total",
-                "Steal attempts that lost a race.",
-                s.steal_retry,
-            ),
-            (
-                "nowa_own_takes_total",
-                "Local takes by the work-finding loop.",
-                s.own_takes,
-            ),
-            ("nowa_joins_total", "Child joins.", s.joins),
-            (
-                "nowa_syncs_inline_total",
-                "Syncs satisfied without suspending.",
-                s.syncs_inline,
-            ),
-            (
-                "nowa_suspensions_total",
-                "Syncs that suspended the frame.",
-                s.suspensions,
-            ),
-            (
-                "nowa_sync_resumes_total",
-                "Suspended syncs resumed by joiners.",
-                s.sync_resumes,
-            ),
-            (
-                "nowa_cancels_total",
-                "Cooperative checkpoints that raised cancellation.",
-                s.cancels,
-            ),
-            (
-                "nowa_aborts_total",
-                "Suspended syncs resumed into a cancelled scope.",
-                s.aborts,
-            ),
-            ("nowa_roots_total", "Root tasks executed.", s.roots),
-            (
-                "nowa_parks_total",
-                "Futex parks entered by the idle engine.",
-                s.parks,
-            ),
-            (
-                "nowa_wakes_issued_total",
-                "Targeted wakes issued.",
-                s.wakes_issued,
-            ),
-            (
-                "nowa_wakes_spurious_total",
-                "Parks ended without a targeted wake.",
-                s.wakes_spurious,
-            ),
-            (
-                "nowa_parked_ns_total",
-                "Nanoseconds spent parked.",
-                s.parked_ns,
-            ),
-            (
-                "nowa_promotions_total",
-                "Private-to-public promotion batches (split deque).",
-                s.promotions,
-            ),
-            (
-                "nowa_promoted_items_total",
-                "Items moved public by promotion batches.",
-                s.promoted_items,
-            ),
-            (
-                "nowa_private_pops_total",
-                "Fast-path pops served by the private segment.",
-                s.private_pops,
-            ),
-            (
-                "nowa_async_parks_total",
-                "block_on continuations parked behind a waker.",
-                s.async_parks,
-            ),
-            (
-                "nowa_async_resumes_total",
-                "Parked async continuations resumed.",
-                s.async_resumes,
-            ),
-            (
-                "nowa_reactor_polls_total",
-                "Reactor polls (epoll_wait + dispatch).",
-                s.reactor_polls,
-            ),
-            (
-                "nowa_reactor_events_total",
-                "I/O readiness events dispatched.",
-                s.reactor_events,
-            ),
-            (
-                "nowa_timer_fires_total",
-                "Timer-wheel entries fired.",
-                s.timer_fires,
-            ),
-        ];
-        for (name, help, value) in totals {
+        for (name, help, value) in s.totals() {
             reg.counter(name, help, value as f64);
         }
         reg.gauge(
@@ -562,40 +440,21 @@ impl Runtime {
         );
 
         for (i, w) in self.shared.stats.iter().enumerate() {
-            let one = std::slice::from_ref(w);
-            let per = StatsSnapshot::aggregate(one);
             let labels = [("worker", i.to_string())];
-            reg.counter_with(
-                "nowa_worker_spawns_total",
-                "Continuations offered, per worker.",
-                &labels,
-                per.spawns as f64,
-            );
-            reg.counter_with(
-                "nowa_worker_steals_total",
-                "Successful steals, per worker.",
-                &labels,
-                per.steals as f64,
-            );
-            reg.counter_with(
-                "nowa_worker_parks_total",
-                "Futex parks, per worker.",
-                &labels,
-                per.parks as f64,
-            );
+            for (name, help, value) in w.snapshot().per_worker() {
+                reg.counter_with(name, help, &labels, value as f64);
+            }
         }
         reg
     }
 
     /// The live metrics in Prometheus text exposition format. See
     /// [`Runtime::metrics_registry`] for what is exported.
-    #[cfg(feature = "trace")]
     pub fn metrics_text(&self) -> String {
         self.metrics_registry().render_prometheus()
     }
 
     /// The live metrics as JSON. See [`Runtime::metrics_registry`].
-    #[cfg(feature = "trace")]
     pub fn metrics_json(&self) -> String {
         self.metrics_registry().render_json()
     }

@@ -37,7 +37,6 @@ use crate::chaos;
 use crate::flavor;
 use crate::obs;
 use crate::record::{Frame, SpawnRecord};
-use crate::stats::WorkerStats;
 use crate::worker::{current_worker, find_work, resume_record, resume_sync, AbortOnUnwind, Worker};
 
 /// Arguments shipped from `spawn_execute` to `spawn_body` (read and moved
@@ -165,10 +164,10 @@ unsafe extern "C" fn spawn_body<F: FnOnce() + Send>(arg: *mut c_void) -> ! {
         let out = flavor::push(&(*worker).deque, nowa_deque::Ptr::from_ref(&*record));
         let offered = out.offered;
         if offered {
-            WorkerStats::bump(&(*worker).stats().spawns);
+            (*worker).stats().spawns.inc();
             crate::worker::note_promotion(worker, out.promoted);
         } else {
-            WorkerStats::bump(&(*worker).stats().unoffered);
+            (*worker).stats().unoffered.inc();
         }
         obs::on_spawn(worker, frame, offered);
         let split_enabled = {
@@ -230,20 +229,20 @@ unsafe extern "C" fn spawn_body<F: FnOnce() + Send>(arg: *mut c_void) -> ! {
 
         match flavor::pop_or_join(protocol, &(*worker).deque, &*frame) {
             crate::record::AfterChild::Continue => {
-                WorkerStats::bump(&(*worker).stats().fast_pops);
+                (*worker).stats().fast_pops.inc();
                 if flavor::last_pop_was_private(&(*worker).deque) {
-                    WorkerStats::bump(&(*worker).stats().private_pops);
+                    (*worker).stats().private_pops.inc();
                 }
                 obs::on_fast_pop(worker, frame);
                 resume_record(worker, nowa_deque::Ptr::from_ref(&*record))
             }
             crate::record::AfterChild::ResumeSync => {
-                WorkerStats::bump(&(*worker).stats().joins);
+                (*worker).stats().joins.inc();
                 obs::on_join(worker, frame);
                 resume_sync(worker, frame)
             }
             crate::record::AfterChild::OutOfWork => {
-                WorkerStats::bump(&(*worker).stats().joins);
+                (*worker).stats().joins.inc();
                 obs::on_join(worker, frame);
                 find_work()
             }
@@ -295,7 +294,7 @@ pub unsafe fn sync_execute(frame: &Frame) {
         if !forced_suspend && flavor::sync_precheck(protocol, frame) {
             // All children joined: proceed without suspending (Invariant
             // III makes α stable here, so the check is exact).
-            WorkerStats::bump(&(*worker).stats().syncs_inline);
+            (*worker).stats().syncs_inline.inc();
             obs::on_sync_inline(worker, frame);
             flavor::rearm(protocol, frame);
             return;
@@ -337,7 +336,7 @@ unsafe extern "C" fn sync_body(arg: *mut c_void) -> ! {
         let args = &mut *(arg as *mut SyncArgs);
         let worker = args.worker;
         let frame = args.frame;
-        WorkerStats::bump(&(*worker).stats().suspensions);
+        (*worker).stats().suspensions.inc();
         obs::on_sync_suspend(worker, frame);
         // Chaos: a forced cancellation at the suspend boundary drives the
         // cancel-during-suspended-sync path (children unwind, the last

@@ -1,171 +1,139 @@
 //! Scheduler statistics, kept per worker to avoid false sharing.
+//!
+//! Every counter is declared once, as a row of the `counters!` table at
+//! the bottom of this file. The table generates the per-worker cells
+//! ([`WorkerStats`]), the aggregated [`StatsSnapshot`] with its
+//! `aggregate`/`merge`, the stall watchdog's [`WorkerStats::progress`],
+//! and the `(name, help, value)` rows the metrics registry exports.
+//! Adding a counter is a one-row edit plus its write site.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-worker event counters. Each instance is cache-line padded; all
-/// increments are `Relaxed` (statistics only, never synchronisation).
-#[repr(align(128))]
+/// One exported series: `(Prometheus name, HELP text, value)`.
+pub(crate) type MetricRow = (&'static str, &'static str, u64);
+
+/// A single-writer event counter.
+///
+/// Only the owning worker's thread writes a cell: every write site goes
+/// through the calling thread's live worker. With one writer no update
+/// can be lost, so `add` is a `Relaxed` load plus store rather
+/// than a locked read-modify-write, and the fork/join fast path stays free
+/// of synchronizing instructions. Any thread may [`Counter::get`] a recent
+/// value; snapshots sum the cells racily.
 #[derive(Debug, Default)]
-pub struct WorkerStats {
-    /// Continuations offered to thieves (spawns).
-    pub spawns: AtomicU64,
-    /// Spawns whose continuation could not be offered (bounded deque full).
-    pub unoffered: AtomicU64,
-    /// Fast-path pops: the continuation was not stolen.
-    pub fast_pops: AtomicU64,
-    /// Successful steals from other workers.
-    pub steals: AtomicU64,
-    /// Steal attempts that found the victim's deque empty.
-    pub steal_empty: AtomicU64,
-    /// Steal attempts that lost a race and had to retry.
-    pub steal_retry: AtomicU64,
-    /// Local continuations taken by the work-finding loop.
-    pub own_takes: AtomicU64,
-    /// Child joins (continuation found stolen after child returned).
-    pub joins: AtomicU64,
-    /// Explicit syncs satisfied inline (no suspension).
-    pub syncs_inline: AtomicU64,
-    /// Explicit syncs that suspended the frame.
-    pub suspensions: AtomicU64,
-    /// Suspended sync continuations resumed by a last joiner.
-    pub sync_resumes: AtomicU64,
-    /// Cooperative checkpoints that raised cancellation (the strand
-    /// started unwinding with a `Cancelled` payload).
-    pub cancels: AtomicU64,
-    /// Suspended syncs whose last joiner resumed them into a cancelled
-    /// scope — the CQS-style abort path: the suspension was retired and
-    /// the continuation woken specifically to unwind.
-    pub aborts: AtomicU64,
-    /// Root tasks executed.
-    pub roots: AtomicU64,
-    /// Futex parks entered by the idle engine (announce survived the
-    /// validation re-scan and the worker actually waited).
-    pub parks: AtomicU64,
-    /// Targeted wakes issued by this worker's spawn/submit path.
-    pub wakes_issued: AtomicU64,
-    /// Parks that ended without a targeted wake (timeout, stale epoch, or
-    /// an injected spurious return).
-    pub wakes_spurious: AtomicU64,
-    /// Nanoseconds spent inside futex parks.
-    pub parked_ns: AtomicU64,
-    /// Private→public promotion batches (split deque, §6g).
-    pub promotions: AtomicU64,
-    /// Items moved public by those batches.
-    pub promoted_items: AtomicU64,
-    /// Fast-path pops served entirely by the private segment — the pops
-    /// that touched zero shared atomics.
-    pub private_pops: AtomicU64,
-    /// `block_on` continuations parked behind a waker (async surface).
-    pub async_parks: AtomicU64,
-    /// Parked async continuations resumed (by a claimer or in place after
-    /// a lost publish race).
-    pub async_resumes: AtomicU64,
-    /// Reactor polls performed by this worker (epoll_wait + dispatch).
-    pub reactor_polls: AtomicU64,
-    /// I/O events dispatched by those polls.
-    pub reactor_events: AtomicU64,
-    /// Timer-wheel entries fired by this worker's reactor polls.
-    pub timer_fires: AtomicU64,
-    /// Work-finding loop iterations. Not part of [`StatsSnapshot`] (it's a
-    /// liveness heartbeat, not a scheduling event): an idle worker still
-    /// ticks every backoff period, so the stall watchdog can tell "parked
-    /// and healthy" from "wedged".
-    pub loop_ticks: AtomicU64,
-}
+pub struct Counter(AtomicU64);
 
-impl WorkerStats {
+impl Counter {
+    /// Adds one. Owner thread only.
     #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn inc(&self) {
+        self.add(1);
     }
 
-    /// Adds `n` to a counter — the batch form of [`WorkerStats::bump`],
-    /// used by the promotion bookkeeping.
+    /// Adds `n`. Owner thread only.
     #[inline]
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add(&self, n: u64) {
+        let v = self.0.load(Ordering::Relaxed);
+        self.0.store(v.wrapping_add(n), Ordering::Relaxed);
     }
 
-    /// A monotonically increasing progress measure for the stall watchdog:
-    /// any scheduling event or work-finding iteration advances it.
-    pub fn progress(&self) -> u64 {
-        self.loop_ticks
-            .load(Ordering::Relaxed)
-            .wrapping_add(self.spawns.load(Ordering::Relaxed))
-            .wrapping_add(self.fast_pops.load(Ordering::Relaxed))
-            .wrapping_add(self.joins.load(Ordering::Relaxed))
-            .wrapping_add(self.syncs_inline.load(Ordering::Relaxed))
-            .wrapping_add(self.suspensions.load(Ordering::Relaxed))
-            .wrapping_add(self.sync_resumes.load(Ordering::Relaxed))
-            // Async parking and resumption are progress for the same
-            // reason suspensions are: the strand moved, it didn't wedge.
-            .wrapping_add(self.async_parks.load(Ordering::Relaxed))
-            .wrapping_add(self.async_resumes.load(Ordering::Relaxed))
-            // Cancellation work is progress: a worker cooperatively
-            // unwinding a cancelled subtree must not read as stalled.
-            .wrapping_add(self.cancels.load(Ordering::Relaxed))
-            .wrapping_add(self.aborts.load(Ordering::Relaxed))
-            .wrapping_add(self.roots.load(Ordering::Relaxed))
-            .wrapping_add(self.own_takes.load(Ordering::Relaxed))
-            .wrapping_add(self.steals.load(Ordering::Relaxed))
+    /// The current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// An aggregated snapshot over all workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Continuations offered to thieves (spawns).
-    pub spawns: u64,
-    /// Spawns that could not be offered (bounded deque full).
-    pub unoffered: u64,
-    /// Fast-path pops.
-    pub fast_pops: u64,
-    /// Successful steals.
-    pub steals: u64,
-    /// Steal attempts that found an empty deque.
-    pub steal_empty: u64,
-    /// Steal attempts that lost a race and retried.
-    pub steal_retry: u64,
-    /// Local takes by the work-finding loop.
-    pub own_takes: u64,
-    /// Child joins.
-    pub joins: u64,
-    /// Inline syncs.
-    pub syncs_inline: u64,
-    /// Suspending syncs.
-    pub suspensions: u64,
-    /// Sync resumptions by last joiners.
-    pub sync_resumes: u64,
-    /// Cooperative checkpoints that raised cancellation.
-    pub cancels: u64,
-    /// Suspended syncs resumed into a cancelled scope (abort path).
-    pub aborts: u64,
-    /// Root tasks executed.
-    pub roots: u64,
-    /// Futex parks entered by the idle engine.
-    pub parks: u64,
-    /// Targeted wakes issued by spawn/submit paths.
-    pub wakes_issued: u64,
-    /// Parks that ended without a targeted wake.
-    pub wakes_spurious: u64,
-    /// Nanoseconds spent parked.
-    pub parked_ns: u64,
-    /// Private→public promotion batches (split deque).
-    pub promotions: u64,
-    /// Items moved public by promotion batches.
-    pub promoted_items: u64,
-    /// Fast-path pops served by the private segment.
-    pub private_pops: u64,
-    /// `block_on` continuations parked behind a waker.
-    pub async_parks: u64,
-    /// Parked async continuations resumed.
-    pub async_resumes: u64,
-    /// Reactor polls (epoll_wait + dispatch).
-    pub reactor_polls: u64,
-    /// I/O events dispatched by reactor polls.
-    pub reactor_events: u64,
-    /// Timer-wheel entries fired.
-    pub timer_fires: u64,
+/// Generates the statistics types from one table. Each row is
+/// `field: "prometheus_name", progress, per_worker, "HELP text";`, with
+/// optional `///` lines in front that extend the field docs:
+///
+/// * `progress`: the counter advances the watchdog's
+///   [`WorkerStats::progress`];
+/// * `per_worker`: the registry also exports it per worker, as
+///   `nowa_worker_<field>_total{worker="i"}`.
+///
+/// The HELP text (without its final period) is also the field's doc line.
+macro_rules! counters {
+    ($(
+        $(#[doc = $doc:literal])*
+        $field:ident: $name:literal, $progress:literal, $per_worker:literal, $help:literal;
+    )*) => {
+        /// Per-worker event counters, cache-line padded. Each cell is
+        /// written only by its own worker (see [`Counter`]).
+        #[repr(align(128))]
+        #[derive(Debug, Default)]
+        pub struct WorkerStats {
+            $(
+                #[doc = concat!($help, ".")]
+                $(#[doc = $doc])*
+                pub $field: Counter,
+            )*
+            /// Work-finding loop iterations. Not part of [`StatsSnapshot`]
+            /// (it's a liveness heartbeat, not a scheduling event): an idle
+            /// worker still ticks every backoff period, so the stall watchdog
+            /// can tell "parked and healthy" from "wedged".
+            pub loop_ticks: Counter,
+        }
+
+        impl WorkerStats {
+            /// A monotonically increasing progress measure for the stall
+            /// watchdog: any scheduling event or work-finding iteration
+            /// advances it.
+            pub fn progress(&self) -> u64 {
+                let mut p = self.loop_ticks.get();
+                $(
+                    if $progress {
+                        p = p.wrapping_add(self.$field.get());
+                    }
+                )*
+                p
+            }
+
+            /// This worker's counters as a snapshot.
+            pub(crate) fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($field: self.$field.get(),)*
+                }
+            }
+        }
+
+        /// An aggregated snapshot over all workers.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $(
+                #[doc = concat!($help, ".")]
+                $(#[doc = $doc])*
+                pub $field: u64,
+            )*
+        }
+
+        impl StatsSnapshot {
+            /// Adds another snapshot's counters into this one (e.g. to
+            /// aggregate over several runtimes or benchmark runs).
+            pub fn merge(&mut self, other: &StatsSnapshot) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Every counter's process-wide series, in table order.
+            pub(crate) fn totals(&self) -> impl Iterator<Item = MetricRow> {
+                [$(($name, concat!($help, "."), self.$field)),*].into_iter()
+            }
+
+            /// The series exported per worker, in table order.
+            pub(crate) fn per_worker(&self) -> impl Iterator<Item = MetricRow> {
+                [$((
+                    $per_worker,
+                    concat!("nowa_worker_", stringify!($field), "_total"),
+                    concat!($help, ", per worker."),
+                    self.$field,
+                )),*]
+                .into_iter()
+                .filter(|row| row.0)
+                .map(|(_, name, help, value)| (name, help, value))
+            }
+        }
+    };
 }
 
 impl StatsSnapshot {
@@ -173,65 +141,9 @@ impl StatsSnapshot {
     pub fn aggregate(stats: &[WorkerStats]) -> StatsSnapshot {
         let mut s = StatsSnapshot::default();
         for w in stats {
-            s.spawns += w.spawns.load(Ordering::Relaxed);
-            s.unoffered += w.unoffered.load(Ordering::Relaxed);
-            s.fast_pops += w.fast_pops.load(Ordering::Relaxed);
-            s.steals += w.steals.load(Ordering::Relaxed);
-            s.steal_empty += w.steal_empty.load(Ordering::Relaxed);
-            s.steal_retry += w.steal_retry.load(Ordering::Relaxed);
-            s.own_takes += w.own_takes.load(Ordering::Relaxed);
-            s.joins += w.joins.load(Ordering::Relaxed);
-            s.syncs_inline += w.syncs_inline.load(Ordering::Relaxed);
-            s.suspensions += w.suspensions.load(Ordering::Relaxed);
-            s.sync_resumes += w.sync_resumes.load(Ordering::Relaxed);
-            s.cancels += w.cancels.load(Ordering::Relaxed);
-            s.aborts += w.aborts.load(Ordering::Relaxed);
-            s.roots += w.roots.load(Ordering::Relaxed);
-            s.parks += w.parks.load(Ordering::Relaxed);
-            s.wakes_issued += w.wakes_issued.load(Ordering::Relaxed);
-            s.wakes_spurious += w.wakes_spurious.load(Ordering::Relaxed);
-            s.parked_ns += w.parked_ns.load(Ordering::Relaxed);
-            s.promotions += w.promotions.load(Ordering::Relaxed);
-            s.promoted_items += w.promoted_items.load(Ordering::Relaxed);
-            s.private_pops += w.private_pops.load(Ordering::Relaxed);
-            s.async_parks += w.async_parks.load(Ordering::Relaxed);
-            s.async_resumes += w.async_resumes.load(Ordering::Relaxed);
-            s.reactor_polls += w.reactor_polls.load(Ordering::Relaxed);
-            s.reactor_events += w.reactor_events.load(Ordering::Relaxed);
-            s.timer_fires += w.timer_fires.load(Ordering::Relaxed);
+            s.merge(&w.snapshot());
         }
         s
-    }
-
-    /// Adds another snapshot's counters into this one (e.g. to aggregate
-    /// over several runtimes or benchmark runs).
-    pub fn merge(&mut self, other: &StatsSnapshot) {
-        self.spawns += other.spawns;
-        self.unoffered += other.unoffered;
-        self.fast_pops += other.fast_pops;
-        self.steals += other.steals;
-        self.steal_empty += other.steal_empty;
-        self.steal_retry += other.steal_retry;
-        self.own_takes += other.own_takes;
-        self.joins += other.joins;
-        self.syncs_inline += other.syncs_inline;
-        self.suspensions += other.suspensions;
-        self.sync_resumes += other.sync_resumes;
-        self.cancels += other.cancels;
-        self.aborts += other.aborts;
-        self.roots += other.roots;
-        self.parks += other.parks;
-        self.wakes_issued += other.wakes_issued;
-        self.wakes_spurious += other.wakes_spurious;
-        self.parked_ns += other.parked_ns;
-        self.promotions += other.promotions;
-        self.promoted_items += other.promoted_items;
-        self.private_pops += other.private_pops;
-        self.async_parks += other.async_parks;
-        self.async_resumes += other.async_resumes;
-        self.reactor_polls += other.reactor_polls;
-        self.reactor_events += other.reactor_events;
-        self.timer_fires += other.timer_fires;
     }
 
     /// Total steal attempts, successful or not.
@@ -292,19 +204,71 @@ impl StatsSnapshot {
     }
 }
 
+counters! {
+    // field          Prometheus name              progress per-worker HELP
+    spawns:           "nowa_spawns_total",         true,  true,  "Continuations offered to thieves";
+    unoffered:        "nowa_unoffered_total",      false, false, "Spawns elided (deque full)";
+    /// The continuation was not stolen.
+    fast_pops:        "nowa_fast_pops_total",      true,  false, "Fast-path continuation pops";
+    steals:           "nowa_steals_total",         true,  true,  "Successful steals";
+    steal_empty:      "nowa_steal_empty_total",    false, false, "Steal attempts on empty deques";
+    steal_retry:      "nowa_steal_retry_total",    false, false, "Steal attempts that lost a race";
+    own_takes:        "nowa_own_takes_total",      true,  false, "Local takes by the work-finding loop";
+    /// The continuation was found stolen after the child returned.
+    joins:            "nowa_joins_total",          true,  false, "Child joins";
+    syncs_inline:     "nowa_syncs_inline_total",   true,  false, "Syncs satisfied without suspending";
+    suspensions:      "nowa_suspensions_total",    true,  false, "Syncs that suspended the frame";
+    sync_resumes:     "nowa_sync_resumes_total",   true,  false, "Suspended syncs resumed by joiners";
+    /// The strand started unwinding with a `Cancelled` payload. Counts as
+    /// progress: a worker unwinding a cancelled subtree is not stalled.
+    cancels:          "nowa_cancels_total",        true,  false, "Cooperative checkpoints that raised cancellation";
+    /// The CQS-style abort path: the suspension was retired and the
+    /// continuation woken specifically to unwind.
+    aborts:           "nowa_aborts_total",         true,  false, "Suspended syncs resumed into a cancelled scope";
+    roots:            "nowa_roots_total",          true,  false, "Root tasks executed";
+    /// The announce survived the validation re-scan and the worker waited.
+    parks:            "nowa_parks_total",          false, true,  "Futex parks entered by the idle engine";
+    wakes_issued:     "nowa_wakes_issued_total",   false, false, "Targeted wakes issued";
+    /// Timeout, stale epoch, or an injected spurious return.
+    wakes_spurious:   "nowa_wakes_spurious_total", false, false, "Parks ended without a targeted wake";
+    parked_ns:        "nowa_parked_ns_total",      false, false, "Nanoseconds spent parked";
+    promotions:       "nowa_promotions_total",     false, false, "Private-to-public promotion batches (split deque)";
+    promoted_items:   "nowa_promoted_items_total", false, false, "Items moved public by promotion batches";
+    /// These pops touched zero shared atomics.
+    private_pops:     "nowa_private_pops_total",   false, false, "Fast-path pops served by the private segment";
+    /// Async parking and resumption are progress for the same reason
+    /// suspensions are: the strand moved, it didn't wedge.
+    async_parks:      "nowa_async_parks_total",    true,  false, "block_on continuations parked behind a waker";
+    /// By a claimer, or in place after a lost publish race.
+    async_resumes:    "nowa_async_resumes_total",  true,  false, "Parked async continuations resumed";
+    reactor_polls:    "nowa_reactor_polls_total",  false, false, "Reactor polls (epoll_wait + dispatch)";
+    reactor_events:   "nowa_reactor_events_total", false, false, "I/O readiness events dispatched";
+    timer_fires:      "nowa_timer_fires_total",    false, false, "Timer-wheel entries fired";
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn counter_adds_exactly() {
+        let c = Counter::default();
+        c.inc();
+        c.add(41);
+        assert_eq!(c.get(), 42);
+        c.add(u64::MAX);
+        assert_eq!(c.get(), 41, "counters wrap like the watchdog's sum");
+    }
+
+    #[test]
     fn aggregate_sums_workers() {
         let a = WorkerStats::default();
         let b = WorkerStats::default();
-        a.spawns.store(3, Ordering::Relaxed);
-        b.spawns.store(4, Ordering::Relaxed);
-        a.steals.store(1, Ordering::Relaxed);
-        a.steal_empty.store(5, Ordering::Relaxed);
-        b.steal_retry.store(2, Ordering::Relaxed);
+        a.spawns.add(3);
+        b.spawns.add(4);
+        a.steals.inc();
+        a.steal_empty.add(5);
+        b.steal_retry.add(2);
         let stats = [a, b];
         let s = StatsSnapshot::aggregate(&stats);
         assert_eq!(s.spawns, 7);
@@ -314,23 +278,60 @@ mod tests {
         assert_eq!(s.steal_attempts(), 8);
     }
 
-    /// Watchdog regression: a worker that only cancels/aborts (cooperative
-    /// unwinding of a cancelled subtree) must still read as progressing.
+    /// Pins the watchdog's notion of progress. Cancellation is in it: a
+    /// worker that only cancels/aborts (cooperative unwinding of a
+    /// cancelled subtree) must still read as progressing. Idle, steal-miss,
+    /// promotion and reactor counters are not: a worker that only spins,
+    /// parks or polls is exactly what the watchdog must be able to see.
     #[test]
-    fn cancellation_counts_as_progress() {
+    fn progress_membership_is_pinned() {
         let w = WorkerStats::default();
-        let before = w.progress();
-        w.cancels.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            w.progress() > before,
-            "cancel raise not counted as progress"
+        let progress: Vec<(&str, &Counter)> = vec![
+            ("loop_ticks", &w.loop_ticks),
+            ("spawns", &w.spawns),
+            ("fast_pops", &w.fast_pops),
+            ("joins", &w.joins),
+            ("syncs_inline", &w.syncs_inline),
+            ("suspensions", &w.suspensions),
+            ("sync_resumes", &w.sync_resumes),
+            ("async_parks", &w.async_parks),
+            ("async_resumes", &w.async_resumes),
+            ("cancels", &w.cancels),
+            ("aborts", &w.aborts),
+            ("roots", &w.roots),
+            ("own_takes", &w.own_takes),
+            ("steals", &w.steals),
+        ];
+        let inert: Vec<(&str, &Counter)> = vec![
+            ("unoffered", &w.unoffered),
+            ("steal_empty", &w.steal_empty),
+            ("steal_retry", &w.steal_retry),
+            ("parks", &w.parks),
+            ("wakes_issued", &w.wakes_issued),
+            ("wakes_spurious", &w.wakes_spurious),
+            ("parked_ns", &w.parked_ns),
+            ("promotions", &w.promotions),
+            ("promoted_items", &w.promoted_items),
+            ("private_pops", &w.private_pops),
+            ("reactor_polls", &w.reactor_polls),
+            ("reactor_events", &w.reactor_events),
+            ("timer_fires", &w.timer_fires),
+        ];
+        // Together the two lists name every counter exactly once.
+        assert_eq!(
+            progress.len() + inert.len(),
+            StatsSnapshot::default().totals().count() + 1
         );
-        let before = w.progress();
-        w.aborts.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            w.progress() > before,
-            "abort resume not counted as progress"
-        );
+        for (name, c) in progress {
+            let before = w.progress();
+            c.inc();
+            assert_eq!(w.progress(), before + 1, "`{name}` must count as progress");
+        }
+        for (name, c) in inert {
+            let before = w.progress();
+            c.add(7);
+            assert_eq!(w.progress(), before, "`{name}` must not count as progress");
+        }
     }
 
     #[test]
@@ -359,10 +360,10 @@ mod tests {
     #[test]
     fn idle_counters_aggregate_and_merge() {
         let w = WorkerStats::default();
-        w.parks.store(4, Ordering::Relaxed);
-        w.wakes_issued.store(3, Ordering::Relaxed);
-        w.wakes_spurious.store(1, Ordering::Relaxed);
-        w.parked_ns.store(12_345, Ordering::Relaxed);
+        w.parks.add(4);
+        w.wakes_issued.add(3);
+        w.wakes_spurious.inc();
+        w.parked_ns.add(12_345);
         let stats = [w];
         let mut s = StatsSnapshot::aggregate(&stats);
         assert_eq!(s.parks, 4);
@@ -399,10 +400,10 @@ mod tests {
     #[test]
     fn promotion_counters_aggregate_and_merge() {
         let w = WorkerStats::default();
-        WorkerStats::add(&w.promotions, 2);
-        WorkerStats::add(&w.promoted_items, 5);
-        WorkerStats::bump(&w.private_pops);
-        w.spawns.store(10, Ordering::Relaxed);
+        w.promotions.add(2);
+        w.promoted_items.add(5);
+        w.private_pops.inc();
+        w.spawns.add(10);
         let stats = [w];
         let mut s = StatsSnapshot::aggregate(&stats);
         assert_eq!(s.promotions, 2);

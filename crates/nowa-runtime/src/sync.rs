@@ -5,7 +5,7 @@
 //! from `nowa-context::sys` — this module compiles to nothing. Under
 //! `RUSTFLAGS="--cfg loom"` the same names resolve to the model-checked
 //! twins from the vendored `loom` crate, so the protocol modules (`idle`,
-//! `snzi`, `injector`, `record`, `flavor`) run unmodified inside
+//! `injector`, `record`, `flavor`) run unmodified inside
 //! `loom::model` and their memory orderings are explored exhaustively
 //! (see `tests/loom.rs`).
 //!

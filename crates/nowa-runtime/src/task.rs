@@ -53,7 +53,6 @@ use nowa_context::{capture_and_run_on, resume, RawContext, Stack};
 use crate::cancel::{self, CancelCell};
 use crate::chaos;
 use crate::obs;
-use crate::stats::WorkerStats;
 use crate::worker::{current_worker, find_work, AbortOnUnwind, Shared, Worker};
 
 /// The strand is executing (initial state, and while polling).
@@ -444,7 +443,7 @@ unsafe extern "C" fn park_body(arg: *mut c_void) -> ! {
         let args = &mut *(arg as *mut ParkArgs);
         let worker = args.worker;
         let cell = args.cell;
-        WorkerStats::bump(&(*worker).stats().async_parks);
+        (*worker).stats().async_parks.inc();
         obs::on_async_park(worker, cell_id(cell));
 
         // Move the blocked stack into the cell and release the unused
@@ -481,7 +480,7 @@ unsafe extern "C" fn park_body(arg: *mut c_void) -> ! {
 /// there), or it is the parker itself after a failed `park_publish`.
 pub(crate) unsafe fn resume_ready(worker: *mut Worker, cell: *const AsyncCell) -> ! {
     unsafe {
-        WorkerStats::bump(&(*worker).stats().async_resumes);
+        (*worker).stats().async_resumes.inc();
         obs::on_async_resume(worker, cell_id(cell));
         // The strand's governing scope becomes this worker's ambient, so
         // frames created after the resume inherit it.

@@ -241,10 +241,10 @@ pub unsafe fn resume_sync(worker: *mut Worker, frame: *const crate::record::Fram
             // Resuming a suspension whose scope is cancelled *is* the
             // abort: the continuation proceeds straight into the sync
             // checkpoint and unwinds. Attribute it as such.
-            WorkerStats::bump(&(*worker).stats().aborts);
+            (*worker).stats().aborts.inc();
             obs::on_abort(worker, frame);
         } else {
-            WorkerStats::bump(&(*worker).stats().sync_resumes);
+            (*worker).stats().sync_resumes.inc();
             obs::on_sync_resume(worker, frame);
         }
         (*worker).cancel_scope = scope;
@@ -280,7 +280,7 @@ pub unsafe fn find_work() -> ! {
 
         // Liveness heartbeat for the stall watchdog: even a fully idle
         // worker ticks this every backoff period.
-        unsafe { WorkerStats::bump(&(*worker).stats().loop_ticks) };
+        unsafe { (*worker).stats().loop_ticks.inc() };
 
         if shared.shutdown.load(Ordering::Acquire) {
             unsafe {
@@ -294,9 +294,9 @@ pub unsafe fn find_work() -> ! {
         // ancestor continuation (cheapest to resume, busy-leaves style).
         if let Some(rec) = flavor::take_own(protocol, unsafe { &(*worker).deque }) {
             unsafe {
-                WorkerStats::bump(&(*worker).stats().own_takes);
+                (*worker).stats().own_takes.inc();
                 if flavor::last_pop_was_private(&(*worker).deque) {
-                    WorkerStats::bump(&(*worker).stats().private_pops);
+                    (*worker).stats().private_pops.inc();
                 }
                 obs::on_own_take(worker, (*rec.as_ptr()).frame);
                 resume_record(worker, rec)
@@ -322,7 +322,7 @@ pub unsafe fn find_work() -> ! {
         // N workers polling no longer serialize on an injector lock.
         if let Some(task) = shared.injector.pop() {
             unsafe {
-                WorkerStats::bump(&(*worker).stats().roots);
+                (*worker).stats().roots.inc();
                 obs::on_root(worker);
                 // A root tree starts unscoped: governed by the runtime
                 // root cell only.
@@ -369,7 +369,7 @@ pub unsafe fn find_work() -> ! {
                     match flavor::steal_from(protocol, &shared.stealers[victim]) {
                         Steal::Success(rec) => unsafe {
                             (*worker).last_victim = victim;
-                            WorkerStats::bump(&(*worker).stats().steals);
+                            (*worker).stats().steals.inc();
                             obs::on_steal_success(worker, victim, (*rec.as_ptr()).frame);
                             // Chaos: forced cancellation at the steal
                             // boundary — the stolen continuation resumes
@@ -385,7 +385,7 @@ pub unsafe fn find_work() -> ! {
                         },
                         Steal::Retry => {
                             unsafe {
-                                WorkerStats::bump(&(*worker).stats().steal_retry);
+                                (*worker).stats().steal_retry.inc();
                                 obs::on_steal_retry(worker, victim);
                             }
                             attempt += 1;
@@ -398,7 +398,7 @@ pub unsafe fn find_work() -> ! {
                         }
                         Steal::Empty => {
                             unsafe {
-                                WorkerStats::bump(&(*worker).stats().steal_empty);
+                                (*worker).stats().steal_empty.inc();
                                 obs::on_steal_empty(worker, victim);
                             }
                             break;
@@ -494,7 +494,7 @@ unsafe fn park_worker(worker: *mut Worker, shared: &Shared) {
             // it on so the work that triggered it still gets a thief.
             if let Some(target) = shared.idle.wake_one() {
                 unsafe {
-                    WorkerStats::bump(&(*worker).stats().wakes_issued);
+                    (*worker).stats().wakes_issued.inc();
                     obs::on_wake(worker, target);
                 }
             }
@@ -504,7 +504,7 @@ unsafe fn park_worker(worker: *mut Worker, shared: &Shared) {
 
     let skip_wait = unsafe { chaos::on_park_wait(worker) };
     unsafe {
-        WorkerStats::bump(&(*worker).stats().parks);
+        (*worker).stats().parks.inc();
         obs::on_park(worker);
     }
     let t0 = std::time::Instant::now();
@@ -512,11 +512,9 @@ unsafe fn park_worker(worker: *mut Worker, shared: &Shared) {
     let woken = shared.idle.park(index, epoch, timeout_ns.max(1), skip_wait);
     unsafe {
         let stats = (*worker).stats();
-        stats
-            .parked_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        stats.parked_ns.add(t0.elapsed().as_nanos() as u64);
         if !woken {
-            WorkerStats::bump(&stats.wakes_spurious);
+            stats.wakes_spurious.inc();
         }
         obs::on_unpark(worker);
     }
@@ -556,7 +554,7 @@ pub(crate) unsafe fn maybe_wake_after_spawn(worker: *mut Worker) {
     }
     if let Some(target) = shared.idle.wake_one() {
         unsafe {
-            WorkerStats::bump(&(*worker).stats().wakes_issued);
+            (*worker).stats().wakes_issued.inc();
             obs::on_wake(worker, target);
         }
     }
@@ -572,8 +570,8 @@ pub(crate) unsafe fn note_promotion(worker: *mut Worker, moved: u32) {
     if moved > 0 {
         unsafe {
             let stats = (*worker).stats();
-            WorkerStats::bump(&stats.promotions);
-            WorkerStats::add(&stats.promoted_items, u64::from(moved));
+            stats.promotions.inc();
+            stats.promoted_items.add(u64::from(moved));
         }
     }
 }
@@ -605,7 +603,7 @@ pub(crate) unsafe fn wake_after_promotion(worker: *mut Worker) {
     }
     if let Some(target) = shared.idle.wake_one() {
         unsafe {
-            WorkerStats::bump(&(*worker).stats().wakes_issued);
+            (*worker).stats().wakes_issued.inc();
             obs::on_wake(worker, target);
         }
     }

@@ -1,4 +1,4 @@
-//! Flight-recorder and live-metrics integration tests.
+//! Flight-recorder integration tests.
 //!
 //! The flight recorder is a bounded overwrite-oldest ring per worker that
 //! keeps the last moments of scheduler history with no exporter thread.
@@ -12,9 +12,6 @@
 //!   stragglers — the last thing a wedged runtime does is explain itself;
 //! * the recorder works with full tracing *off* — it is the always-on
 //!   half of the observability story.
-//!
-//! The metrics tests cover the pull-based registry the runtime folds its
-//! counters into.
 
 #![cfg(feature = "trace")]
 
@@ -144,39 +141,4 @@ fn flight_dump_absent_when_not_configured() {
     let rt = Runtime::new(Config::with_workers(1)).unwrap();
     assert_eq!(rt.run(|| 21 * 2), 42);
     assert!(rt.flight_dump().is_none());
-}
-
-#[test]
-fn metrics_fold_scheduler_and_idle_counters() {
-    let rt = Runtime::new(Config::with_workers(2)).unwrap();
-    assert_eq!(rt.run(|| fib(16)), 987);
-    let stats = rt.stats();
-    let text = rt.metrics_text();
-    assert!(text.contains("# TYPE nowa_spawns_total counter"), "{text}");
-    assert!(text.contains("# TYPE nowa_fast_path_ratio gauge"), "{text}");
-    assert!(text.contains("nowa_workers 2"), "{text}");
-    assert!(
-        text.contains(&format!("nowa_spawns_total {}", stats.spawns)),
-        "aggregate spawn counter must match stats():\n{text}"
-    );
-    assert!(text.contains("nowa_parks_total"), "{text}");
-    assert!(text.contains("nowa_wakes_issued_total"), "{text}");
-    assert!(text.contains("nowa_targeted_wake_ratio"), "{text}");
-    assert!(
-        text.contains("nowa_worker_spawns_total{worker=\"0\"}")
-            && text.contains("nowa_worker_spawns_total{worker=\"1\"}"),
-        "per-worker families must be labelled:\n{text}"
-    );
-
-    let json = rt.metrics_json();
-    let parsed = nowa_trace::json::Json::parse(&json).expect("metrics JSON parses");
-    let spawns = parsed
-        .get("nowa_spawns_total")
-        .and_then(|f| f.get("samples"))
-        .and_then(|s| s.as_arr())
-        .and_then(|s| s.first())
-        .and_then(|s| s.get("value"))
-        .and_then(|v| v.as_num())
-        .expect("spawn family present");
-    assert_eq!(spawns, stats.spawns as f64);
 }

@@ -6,7 +6,7 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p nowa-runtime --test loom --release
 //! ```
 //!
-//! Seven protocols are modeled, each against the *real* implementation (the
+//! Six protocols are modeled, each against the *real* implementation (the
 //! `crate::sync` shim swaps `core::sync::atomic` for loom's atomics under
 //! `--cfg loom`, so the code under test is byte-for-byte the shipping
 //! protocol logic):
@@ -18,16 +18,15 @@
 //!    vs. publish/wake handshake whose failure mode is a lost wakeup;
 //! 3. the MPMC segment injector (`Injector`), with loom-shrunk segments so
 //!    the boundary paths are in reach;
-//! 4. the SNZI tree's ½-state arrival handshake;
-//! 5. the abortable-suspension handoff of the cancellation layer — a
+//! 4. the abortable-suspension handoff of the cancellation layer — a
 //!    suspended sync raced by its last joiner and a canceller latching
 //!    the region's (all-Relaxed) cancel flag; the suspension must be
 //!    retired exactly once and never resumed with torn context;
-//! 6. the async wake-state handoff (§6h) — a parking `block_on` strand
+//! 5. the async wake-state handoff (§6h) — a parking `block_on` strand
 //!    raced by concurrent wakers; the continuation must be resumed
 //!    exactly once, a wake arriving before the park must not be lost,
 //!    and whoever resumes must see the parker's staged context;
-//! 7. the reactor poller claim (§6h) — at most one worker may sit in
+//! 6. the reactor poller claim (§6h) — at most one worker may sit in
 //!    `epoll_wait`, and a release must publish the outgoing poller's
 //!    duty-state writes to the next claimant.
 //!
@@ -46,7 +45,6 @@ use nowa_runtime::reactor::PollerSlot;
 use nowa_runtime::record::{AfterChild, Frame, SpawnRecord, I_MAX, SUSP_IDLE};
 use nowa_runtime::task::{WakeClaim, WakeState};
 use nowa_runtime::worker::RootTask;
-use nowa_runtime::Snzi;
 use nowa_runtime::SplitConfig;
 
 // ---------------------------------------------------------------------------
@@ -581,115 +579,7 @@ fn injector_relaxed_publish_canary_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. The SNZI tree
-// ---------------------------------------------------------------------------
-
-/// Concurrent first-arrivals through distinct leaves: the ½-state
-/// handshake must leave the root indicator set while any surplus is held
-/// and clear once balanced. `Snzi::new(2)` gives a 3-node tree (two
-/// leaves, one internal) over the root counter — deep enough to exercise
-/// `parent_arrive` propagation and the undo loop.
-#[test]
-fn snzi_concurrent_arrivals_exact_indicator() {
-    loom::model(|| {
-        let s = Arc::new(Snzi::new(2));
-        let other = {
-            let s = s.clone();
-            loom::thread::spawn(move || {
-                s.arrive(1);
-                assert!(s.query(), "own surplus outstanding");
-                s.depart(1);
-            })
-        };
-        s.arrive(0);
-        assert!(s.query(), "own surplus outstanding");
-        s.depart(0);
-        other.join().unwrap();
-        assert!(!s.query(), "balanced traffic ends at zero");
-    });
-}
-
-/// Same-leaf contention: two threads arriving at one leaf race the ½→1
-/// promotion; the helper path and the undo loop must keep the parent's
-/// count exact.
-#[test]
-fn snzi_same_leaf_half_state_race() {
-    loom::model(|| {
-        let s = Arc::new(Snzi::new(2));
-        let other = {
-            let s = s.clone();
-            loom::thread::spawn(move || {
-                s.arrive(0);
-                s.depart(0);
-            })
-        };
-        s.arrive(0);
-        assert!(s.query());
-        s.depart(0);
-        other.join().unwrap();
-        assert!(!s.query());
-    });
-}
-
-/// Cross-thread handoff: an arrival on one thread departed by another
-/// (after a release/acquire handshake) — the query must stay exact.
-#[test]
-fn snzi_handoff_preserves_indicator() {
-    loom::model(|| {
-        use loom::sync::atomic::{AtomicU32, Ordering};
-        let s = Arc::new(Snzi::new(2));
-        let ready = Arc::new(AtomicU32::new(0));
-
-        let departer = {
-            let s = s.clone();
-            let ready = ready.clone();
-            loom::thread::spawn(move || {
-                while ready.load(Ordering::Acquire) == 0 {
-                    loom::thread::yield_now();
-                }
-                assert!(s.query(), "handed-off surplus is visible");
-                s.depart(0);
-                assert!(!s.query());
-            })
-        };
-        s.arrive(0);
-        ready.store(1, Ordering::Release);
-        departer.join().unwrap();
-    });
-}
-
-/// CANARY: a bare (non-SNZI) root counter with the arrival's increment
-/// weakened to Relaxed: the indicator can be observed set while the
-/// arriving strand's payload write is still unordered — the exact
-/// visibility bug the root counter's AcqRel traffic prevents.
-#[test]
-#[should_panic(expected = "surplus payload lost")]
-fn snzi_relaxed_arrive_canary_fails() {
-    loom::model(|| {
-        use loom::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-        let root = Arc::new(AtomicI64::new(0));
-        let payload = Arc::new(AtomicU64::new(0));
-
-        let arriver = {
-            let root = root.clone();
-            let payload = payload.clone();
-            loom::thread::spawn(move || {
-                payload.store(1, Ordering::Relaxed);
-                // BUG: Relaxed arrive — the payload write is not released
-                // to a querier that acquires the indicator.
-                root.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-
-        if root.load(Ordering::Acquire) != 0 {
-            assert_eq!(payload.load(Ordering::Relaxed), 1, "surplus payload lost");
-        }
-        arriver.join().unwrap();
-    });
-}
-
-// ---------------------------------------------------------------------------
-// 5. The abortable-suspension handoff (cancellation layer)
+// 4. The abortable-suspension handoff (cancellation layer)
 // ---------------------------------------------------------------------------
 
 /// A suspended sync raced by its last joiner and a canceller. The main
@@ -819,7 +709,7 @@ fn cancel_abort_relaxed_publish_canary_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. The async wake-state handoff (§6h)
+// 5. The async wake-state handoff (§6h)
 // ---------------------------------------------------------------------------
 
 /// Exactly-once resume under waker races: one parking strand, two
@@ -993,7 +883,7 @@ fn wake_state_relaxed_publish_canary_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// 7. The reactor poller claim (§6h)
+// 6. The reactor poller claim (§6h)
 // ---------------------------------------------------------------------------
 
 /// Mutual exclusion of the poller slot: two workers descend idle and race
